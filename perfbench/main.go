@@ -1,13 +1,14 @@
 // Command perfbench is the repository's benchmark. It hosts a broker
 // in-process behind a loopback listener and drives one of three
 // dataset-shaped workloads through the public SDK (binary codec) with
-// internal/loadgen's drivers: an open-loop phase at a fixed rate per op
-// kind, then a closed-loop phase with one worker per CPU. It checks the
+// internal/loadgen's drivers. A run is a series of cycles, each on a
+// freshly provisioned broker: an open-loop slice at a fixed rate per op
+// kind, then a closed-loop slice with one worker per CPU. It checks the
 // broker's books against what the client counted and prints, as its
 // last line, one JSON object with the end-to-end metrics (--trace 0)
 // or the per-layer metrics of a traced run (--trace 1).
 //
-//	go run . --workload ratings-market --seed 1 --seconds 12 --trace 0
+//	go run . --workload ratings-market --seed 1 --seconds 30 --trace 0
 package main
 
 import (
@@ -34,9 +35,13 @@ import (
 )
 
 const (
-	// setupRepeats is how many times a run hosts and provisions the
-	// broker; setup_s is the median.
-	setupRepeats = 9
+	// cycles is how many times a run hosts and provisions a fresh
+	// broker and drives it through an open-loop and then a closed-loop
+	// slice; setup_s is the median of their set-up times.
+	cycles = 10
+	// replayStride keeps the traced run's replay to every replayStride-th
+	// cycle, which holds the run within its time at full size.
+	replayStride = 3
 	// checkpointEvery is the durable broker's checkpoint schedule.
 	checkpointEvery = 100 * time.Millisecond
 	// maxOutstanding bounds each open loop's in-flight ops; a slot that
@@ -46,10 +51,10 @@ const (
 	// window, so that its p90 has at least ten beyond it; maxWindows
 	// caps the window count.
 	windowSamples = 120
-	maxWindows    = 10
-	// closedWindows is how many windows the closed loop is cut into;
-	// throughput is the median of their rates.
-	closedWindows = 20
+	maxWindows    = 20
+	// closedWindows is how many windows each closed-loop slice is cut
+	// into; throughput is the median of all slices' window rates.
+	closedWindows = 2
 )
 
 type options struct {
@@ -79,7 +84,7 @@ func main() {
 	var trace int
 	flag.StringVar(&opt.workload, "workload", "", "impression-batch | ratings-market | accommodation-durable")
 	flag.Uint64Var(&opt.seed, "seed", 1, "input generator seed")
-	flag.Float64Var(&opt.seconds, "seconds", 12, "measured seconds, split evenly between the open and closed loop")
+	flag.Float64Var(&opt.seconds, "seconds", 30, "measured seconds, split evenly between the open- and closed-loop slices of the cycles")
 	flag.IntVar(&trace, "trace", 0, "1 prints the per-layer metrics of a traced run")
 	flag.Parse()
 	opt.trace = trace == 1
@@ -111,27 +116,29 @@ func printResult(w io.Writer, res *result, meta map[string]any) error {
 	return nil
 }
 
-// measurement is what one hosted run of a workload measured.
+// measurement is what one run of a workload's cycles measured.
 type measurement struct {
-	setup      []float64 // s
-	throughput float64   // closed-loop units/s
+	setup []float64 // s, one per cycle
+	rates []float64 // closed-loop units/s, one per window
 	// lat and readLat are the open-loop latencies from the scheduled
-	// send, in ms, cut into consecutive windows of the schedule, each
+	// send, in ms, cut into consecutive windows of the schedules, each
 	// sorted. A percentile is reported as its median over the windows,
 	// which keeps a burst of host noise in one window from moving it.
 	lat, readLat [][]float64
-	// latHist and readLatHist replace lat and readLat when the open
-	// loop dropped slots, which breaks the op-to-slot mapping.
+	// latHist and readLatHist replace lat and readLat when an open loop
+	// dropped slots, which breaks the op-to-slot mapping.
 	latHist, readLatHist *histo.Histogram
 	late                 []float64 // how late the write loop's generator dispatched, ms, sorted
-	regret               float64
+	regret               []float64 // one per cycle
+	heapMB               []float64 // live heap after each open-loop slice, above the inputs
 	attempted            int64
 	failed               int64
-	heapMB               float64 // live heap after the open loop, above the inputs
 	checks               error
-	served               map[string]float64
-	recsPerCommit        float64
+	served               map[string]float64 // mean over the cycles
+	commits, commitRecs  uint64
 }
+
+func (m *measurement) throughput() float64 { return median(m.rates) }
 
 func run(ctx context.Context, opt options) (*result, map[string]any, error) {
 	if opt.seconds <= 0 {
@@ -155,10 +162,10 @@ func run(ctx context.Context, opt options) (*result, map[string]any, error) {
 		"workload": opt.workload, "seed": opt.seed, "seconds": opt.seconds, "trace": opt.trace,
 		"commit": commit(), "go_version": runtime.Version(),
 		"gomaxprocs": runtime.GOMAXPROCS(0), "nproc": nproc, "client_conns": nproc,
-		"setup_repeats": setupRepeats, "setup_s": m.setup,
+		"cycles": cycles, "setup_s": m.setup,
 		"open_rates_per_s": map[string]float64{"write": sc.rate(opWrite), "read": sc.rate(opRead), "life": sc.rate(opLife)},
 		"samples": map[string][]int{"latency": windowSizes(m.lat), "read_latency": windowSizes(m.readLat),
-			"throughput": {closedWindows}},
+			"throughput": {len(m.rates)}},
 		"generator_late_ms": map[string]float64{
 			"p50": quantile(m.late, 0.5), "p99": quantile(m.late, 0.99), "max": quantile(m.late, 1),
 		},
@@ -177,17 +184,24 @@ func run(ctx context.Context, opt options) (*result, map[string]any, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	rep, err := sc.replay(tr.ops())
-	if err != nil {
-		return nil, nil, err
+	rep := newReplayResult()
+	for i, ops := range tr.cycleOps() {
+		if i%replayStride != 0 {
+			continue
+		}
+		r, err := sc.replay(ops)
+		if err != nil {
+			return nil, nil, err
+		}
+		rep.merge(r)
 	}
 	layers := tr.layers(rep)
 	for k, v := range mt.served {
 		layers[k] = v
 	}
-	layers["store.records_per_commit"] = mt.recsPerCommit
+	layers["store.records_per_commit"] = share(float64(mt.commitRecs), float64(mt.commits))
 	layers["trace.overhead_latency_p50_ms"] = windowMedian(mt.lat) - windowMedian(m.lat)
-	layers["trace.overhead_throughput_share"] = 1 - share(mt.throughput, m.throughput)
+	layers["trace.overhead_throughput_share"] = 1 - share(mt.throughput(), m.throughput())
 	res.Metrics = make(map[string]metric, len(layers))
 	for _, l := range perLayer {
 		v, ok := layers[l.name]
@@ -240,14 +254,14 @@ func endToEnd(m *measurement) (map[string]metric, error) {
 	}
 	vals := map[string]float64{
 		"setup_s":                median(m.setup),
-		"throughput_units_per_s": m.throughput,
+		"throughput_units_per_s": m.throughput(),
 		"latency_p50_ms":         pct(m.lat, m.latHist, 0.5),
 		"latency_p90_ms":         pct(m.lat, m.latHist, 0.9),
 		"read_latency_p50_ms":    pct(m.readLat, m.readLatHist, 0.5),
 		"read_latency_p90_ms":    pct(m.readLat, m.readLatHist, 0.9),
 		"success_share":          1 - share(float64(m.failed), float64(m.attempted)),
-		"regret_ratio":           m.regret,
-		"broker_heap_mb":         m.heapMB,
+		"regret_ratio":           median(m.regret),
+		"broker_heap_mb":         median(m.heapMB),
 	}
 	if err := errors.Join(errs...); err != nil {
 		return nil, err
@@ -314,80 +328,112 @@ var perLayer = func() []named {
 	return l
 }()
 
-// measure hosts the broker setupRepeats times, keeps the last, and
-// runs the open- and closed-loop phases against it.
+// measure runs the workload's cycles. Each cycle hosts and provisions
+// a fresh broker, drives it through an open-loop slice and then a
+// closed-loop slice, each seconds/(2·cycles) long, checks its books and
+// closes it. The host's speed drifts over tens of seconds; slicing both
+// phases across the whole run makes every metric average over that
+// drift, and since each open-loop slice meets a freshly provisioned
+// broker, what it measures does not depend on how much work the
+// closed loop got through before it.
 func measure(ctx context.Context, sc scenario, opt options, tr *tracer, conns int, heapBase float64) (*measurement, error) {
-	m := &measurement{}
-	var h *host
-	for i := 0; i < setupRepeats; i++ {
-		dir := ""
-		if sc.durable() {
-			dir = filepath.Join(opt.dataDir, fmt.Sprintf("journal-%d-%d", os.Getpid(), i))
+	m := &measurement{served: make(map[string]float64)}
+	d := &driver{sc: sc, tr: tr}
+	slice := time.Duration(opt.seconds / 2 / cycles * float64(time.Second))
+	for i := 0; i < cycles; i++ {
+		if err := d.cycle(ctx, opt, i, slice, conns, heapBase, m); err != nil {
+			return nil, fmt.Errorf("cycle %d: %w", i, err)
 		}
-		t0 := time.Now()
-		nh, err := startHost(sc.durable(), dir, conns, tr)
-		if err == nil {
-			if err = sc.provision(ctx, nh.client); err != nil {
-				err = errors.Join(err, nh.close())
-			}
-		}
-		if err != nil {
-			return nil, fmt.Errorf("setup: %w", err)
-		}
-		m.setup = append(m.setup, time.Since(t0).Seconds())
-		if i < setupRepeats-1 {
-			if err := nh.close(); err != nil {
-				return nil, fmt.Errorf("setup teardown: %w", err)
-			}
-			continue
-		}
-		h = nh
 	}
+	m.attempted, m.failed = d.attempted.Load(), d.failed.Load()
+	m.lat, m.latHist = d.latencies(opWrite)
+	m.readLat, m.readLatHist = d.latencies(opRead)
+	sort.Float64s(d.late)
+	m.late = d.late
+	return m, nil
+}
+
+// cycle runs one cycle of measure on a freshly hosted broker.
+func (d *driver) cycle(ctx context.Context, opt options, i int, slice time.Duration, conns int, heapBase float64, m *measurement) (err error) {
+	sc := d.sc
+	dir := ""
+	if sc.durable() {
+		dir = filepath.Join(opt.dataDir, fmt.Sprintf("journal-%d-%d", os.Getpid(), i))
+	}
+	// The last cycle's garbage is collected first, so that set-up does
+	// not pay for it.
+	runtime.GC()
+	t0 := time.Now()
+	h, err := startHost(sc.durable(), dir, conns, d.tr)
+	if err != nil {
+		return fmt.Errorf("setup: %w", err)
+	}
+	defer func() { err = errors.Join(err, h.close()) }()
+	if err := sc.provision(ctx, h.client); err != nil {
+		return fmt.Errorf("setup: %w", err)
+	}
+	m.setup = append(m.setup, time.Since(t0).Seconds())
+	d.c = h.client
+	d.tr.setCycle(i)
+	units0 := d.units.Load()
 
 	var ck *checkpointer
 	var stats0 store.Stats
-	if h.persister != nil {
-		stats0 = h.journal.Stats()
-		ck = startCheckpointer(h.persister, checkpointEvery, tr)
+	startCk := func() {
+		if h.persister != nil {
+			ck = startCheckpointer(h.persister, checkpointEvery, d.tr)
+		}
 	}
-	half := time.Duration(opt.seconds / 2 * float64(time.Second))
-	d := &driver{sc: sc, c: h.client, tr: tr}
-	err := d.openPhase(ctx, half, m)
-	if err == nil {
-		m.regret, err = sc.regretRatio(ctx, h.client)
-	}
-	if err == nil {
-		// The heap is read after the open loop's fixed op count, with no
-		// checkpoint pass in flight: the market ledger grows with the
-		// closed loop's throughput, and a faster broker must not read as
-		// a bigger one.
+	haltCk := func() {
 		if ck != nil {
 			ck.halt()
-		}
-		m.heapMB = liveHeapMB() - heapBase
-		if ck != nil {
-			ck = startCheckpointer(h.persister, checkpointEvery, tr)
+			ck = nil
 		}
 	}
-	if err == nil {
-		err = d.closedPhase(ctx, half, conns, m)
+	defer haltCk()
+	if h.persister != nil {
+		stats0 = h.journal.Stats()
 	}
-	if ck != nil {
-		ck.halt()
+	startCk()
+	if err := d.openPhase(ctx, slice); err != nil {
+		return err
+	}
+	r, err := sc.regretRatio(ctx, h.client)
+	if err != nil {
+		return err
+	}
+	m.regret = append(m.regret, r)
+	// The heap is read after the open loop's fixed op count, with no
+	// checkpoint pass in flight: the market ledger grows with the
+	// closed loop's throughput, and a faster broker must not read as
+	// a bigger one.
+	haltCk()
+	m.heapMB = append(m.heapMB, liveHeapMB()-heapBase)
+	startCk()
+	if err := d.closedPhase(ctx, slice, conns, m); err != nil {
+		return err
+	}
+	haltCk()
+	checks := sc.check(ctx, h.client, d.units.Load()-units0)
+	if h.persister != nil {
 		st := h.journal.Stats()
-		m.recsPerCommit = share(float64(st.CommitRecords-stats0.CommitRecords), float64(st.Commits-stats0.Commits))
+		m.commits += st.Commits - stats0.Commits
+		m.commitRecs += st.CommitRecords - stats0.CommitRecords
+		checks = errors.Join(checks, checkStore(ctx, h))
 	}
-	if err == nil {
-		m.attempted, m.failed = d.attempted.Load(), d.failed.Load()
-		m.checks = sc.check(ctx, h.client, d.units.Load())
-		if h.persister != nil {
-			m.checks = errors.Join(m.checks, checkStore(ctx, h))
+	if checks != nil {
+		m.checks = errors.Join(m.checks, fmt.Errorf("cycle %d: %w", i, checks))
+	}
+	if d.tr != nil {
+		served, err := sc.served(ctx, h.client)
+		if err != nil {
+			return err
 		}
-		if tr != nil {
-			m.served, err = sc.served(ctx, h.client)
+		for k, v := range served {
+			m.served[k] += v / cycles
 		}
 	}
-	return m, errors.Join(err, h.close())
+	return nil
 }
 
 // checkStore runs a checkpoint pass and checks that the journal's live
@@ -420,16 +466,32 @@ func checkStore(ctx context.Context, h *host) error {
 	return nil
 }
 
-// driver runs one measurement's phases through loadgen's drivers.
+// driver runs one measurement's cycles through loadgen's drivers.
 type driver struct {
 	sc      scenario
-	c       *client.Client
+	c       *client.Client // the current cycle's
 	tr      *tracer
 	next    [numKinds]atomic.Uint64 // next input index per kind
 	closedN atomic.Uint64
 
 	attempted, failed, units atomic.Int64
-	done                     *timings // closed loop: when each op ended, and its units
+
+	// Open-loop results of every cycle so far, per kind: the latencies
+	// from the scheduled send in schedule order, ms, and the loops'
+	// histograms, which replace them once a slot was dropped.
+	sched   [numKinds][]float64
+	hist    [numKinds]*histo.Histogram
+	dropped [numKinds]bool
+	late    []float64 // the write loop's dispatch lateness, ms
+}
+
+// latencies returns kind k's open-loop latencies cut into windows, or,
+// when the loop dropped a slot, its histogram.
+func (d *driver) latencies(k opKind) ([][]float64, *histo.Histogram) {
+	if d.dropped[k] {
+		return nil, d.hist[k]
+	}
+	return windows(d.sched[k]), nil
 }
 
 // load adapts one op kind, or the closed-loop mix, to loadgen.Workload.
@@ -511,36 +573,40 @@ func (t *timings) windowRates(start time.Time, dur time.Duration, n int) []float
 	return counts
 }
 
-// fromSchedule returns each op's latency from its scheduled send time,
-// in windows of at least windowSamples consecutive slots, and how late
-// each op was dispatched, in ms. Op k in start order held schedule slot
-// k (start+k/rate) unless a slot was dropped, which the caller rules
-// out. OpenLoop measures the same latency into a histogram, but its
-// buckets round to 1/64 and it does not see dispatch lateness, so the
-// samples are kept here.
-func (t *timings) fromSchedule(start time.Time, rate float64) (wins [][]float64, late []float64) {
+// schedule returns each op's latency from its scheduled send time and
+// how late it was dispatched, in ms and in schedule order. Op k in
+// start order held schedule slot k (start+k/rate) unless a slot was
+// dropped, which the caller rules out. OpenLoop measures the same
+// latency into a histogram, but its buckets round to 1/64 and it does
+// not see dispatch lateness, so the samples are kept here.
+func (t *timings) schedule(start time.Time, rate float64) (lat, late []float64) {
 	ops := t.ops
 	sort.Slice(ops, func(i, j int) bool { return ops[i].start.Before(ops[j].start) })
 	interval := float64(time.Second) / rate
-	lat := make([]float64, len(ops))
 	for k, op := range ops {
 		sched := start.Add(time.Duration(float64(k) * interval))
-		lat[k] = float64(op.end.Sub(sched)) / 1e6
+		lat = append(lat, float64(op.end.Sub(sched))/1e6)
 		late = append(late, float64(op.start.Sub(sched))/1e6)
 	}
+	return lat, late
+}
+
+// windows cuts latencies in schedule order into at most maxWindows
+// windows of at least windowSamples consecutive ops, each sorted.
+func windows(lat []float64) [][]float64 {
 	n := min(len(lat)/windowSamples, maxWindows)
+	wins := make([][]float64, 0, n)
 	for w := 0; w < n; w++ {
-		win := lat[w*len(lat)/n : (w+1)*len(lat)/n]
+		win := append([]float64(nil), lat[w*len(lat)/n:(w+1)*len(lat)/n]...)
 		sort.Float64s(win)
 		wins = append(wins, win)
 	}
-	sort.Float64s(late)
-	return wins, late
+	return wins
 }
 
 // openPhase runs every op kind with a rate as its own open loop, all
 // at once, for dur.
-func (d *driver) openPhase(ctx context.Context, dur time.Duration, m *measurement) error {
+func (d *driver) openPhase(ctx context.Context, dur time.Duration) error {
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var errs []error
@@ -563,23 +629,20 @@ func (d *driver) openPhase(ctx context.Context, dur time.Duration, m *measuremen
 			}
 			d.attempted.Add(out.Dropped)
 			d.failed.Add(out.Dropped)
+			if d.hist[k] == nil {
+				d.hist[k] = histo.New()
+			}
+			d.hist[k].Merge(out.Latency)
 			if out.Dropped > 0 {
 				fmt.Fprintf(os.Stderr, "perfbench: %s open loop dropped %d of %d slots at %d in flight\n",
 					kindNames[k], out.Dropped, out.Dropped+out.Issued, maxOutstanding)
-				switch k {
-				case opWrite:
-					m.latHist = out.Latency
-				case opRead:
-					m.readLatHist = out.Latency
-				}
+				d.dropped[k] = true
 				return
 			}
-			lat, late := l.rec.fromSchedule(start, rate)
-			switch k {
-			case opWrite:
-				m.lat, m.late = lat, late
-			case opRead:
-				m.readLat = lat
+			lat, late := l.rec.schedule(start, rate)
+			d.sched[k] = append(d.sched[k], lat...)
+			if k == opWrite {
+				d.late = append(d.late, late...)
 			}
 		}()
 	}
@@ -601,7 +664,7 @@ func (d *driver) closedPhase(ctx context.Context, dur time.Duration, conns int, 
 	}
 	// Units completed in the drain after the deadline fall outside
 	// every window; the check still counts them.
-	m.throughput = median(rec.windowRates(start, dur, closedWindows))
+	m.rates = append(m.rates, rec.windowRates(start, dur, closedWindows)...)
 	return nil
 }
 

@@ -13,10 +13,11 @@ import (
 	"datamarket/internal/server"
 )
 
-// The replays re-drive the traced run's ops, in start order and on one
-// goroutine, through the public functions of the layers on a fresh
-// stack. What they time is busy time with no lock or CPU contention;
-// server.wait_us is the served handler time beyond it.
+// The replays re-drive the traced ops of one measure cycle, in start
+// order and on one goroutine, through the public functions of the
+// layers on a fresh stack. What they time is busy time with no lock or
+// CPU contention; server.wait_us is the served handler time beyond it,
+// taken over the replayed ops.
 
 // codecTimer times api/binary on an op's own request message.
 type codecTimer struct {

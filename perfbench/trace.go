@@ -39,9 +39,10 @@ type span struct {
 	Start  int64  `json:"start_ns"`
 	End    int64  `json:"end_ns"`
 	Status int    `json:"status,omitempty"`
-	// Client calls: op kind and input index.
-	Kind opKind `json:"kind"`
-	N    uint64 `json:"n"`
+	// Client calls: op kind, input index and measure cycle.
+	Kind  opKind `json:"kind"`
+	N     uint64 `json:"n"`
+	Cycle int32  `json:"cycle"`
 	// Exchanges: body sizes.
 	ReqBytes  int64 `json:"req_bytes,omitempty"`
 	RespBytes int64 `json:"resp_bytes,omitempty"`
@@ -58,6 +59,7 @@ type flushKey struct {
 type tracer struct {
 	epoch      time.Time
 	nextOp     atomic.Uint64
+	cycle      atomic.Int32 // the measure cycle ops now run in
 	mismatches atomic.Int64 // responses without their op ID or handler time
 
 	mu        sync.Mutex
@@ -127,8 +129,15 @@ func (t *tracer) beginCall(ctx context.Context, kind opKind, n uint64) (context.
 		return ctx, -1
 	}
 	op := t.nextOp.Add(1)
-	i := t.begin(span{Name: "client.call", Op: op, Parent: -1, Kind: kind, N: n})
+	i := t.begin(span{Name: "client.call", Op: op, Parent: -1, Kind: kind, N: n, Cycle: t.cycle.Load()})
 	return context.WithValue(ctx, opCtxKey{}, &opCtx{tr: t, op: op, span: i}), i
+}
+
+// setCycle marks the ops begun from now on as measure cycle i's.
+func (t *tracer) setCycle(i int) {
+	if t != nil {
+		t.cycle.Store(int32(i))
+	}
 }
 
 // noteStream records that the op in ctx writes stream id, so the
@@ -377,18 +386,26 @@ type tracedOp struct {
 	start int64
 }
 
-// ops lists the traced client ops by start time.
-func (t *tracer) ops() []tracedOp {
+// cycleOps lists the traced client ops of each measure cycle by start
+// time; each cycle ran on a broker of its own, so each is replayed on
+// a fresh stack.
+func (t *tracer) cycleOps() [][]tracedOp {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var ops []tracedOp
+	var byCycle [][]tracedOp
 	for _, s := range t.spans {
-		if s.Name == "client.call" {
-			ops = append(ops, tracedOp{op: s.Op, kind: s.Kind, n: s.N, start: s.Start})
+		if s.Name != "client.call" {
+			continue
 		}
+		for int(s.Cycle) >= len(byCycle) {
+			byCycle = append(byCycle, nil)
+		}
+		byCycle[s.Cycle] = append(byCycle[s.Cycle], tracedOp{op: s.Op, kind: s.Kind, n: s.N, start: s.Start})
 	}
-	sort.Slice(ops, func(i, j int) bool { return ops[i].start < ops[j].start })
-	return ops
+	for _, ops := range byCycle {
+		sort.Slice(ops, func(i, j int) bool { return ops[i].start < ops[j].start })
+	}
+	return byCycle
 }
 
 // writeSpans writes the spans as JSON lines.
@@ -435,6 +452,20 @@ type replayResult struct {
 }
 
 func newReplayResult() *replayResult { return &replayResult{busy: make(map[uint64]float64)} }
+
+// merge adds o's busy times to r.
+func (r *replayResult) merge(o *replayResult) {
+	for op, b := range o.busy {
+		r.busy[op] = b
+	}
+	r.encode = append(r.encode, o.encode...)
+	r.decode = append(r.decode, o.decode...)
+	r.round = append(r.round, o.round...)
+	r.queryBuild = append(r.queryBuild, o.queryBuild...)
+	r.prepare = append(r.prepare, o.prepare...)
+	r.tradeBatch = append(r.tradeBatch, o.tradeBatch...)
+	r.ledger = append(r.ledger, o.ledger...)
+}
 
 // layers computes the per-layer metrics from the spans and the replay.
 // Op-level figures use the write ops, the ops latency_* measures.
@@ -506,10 +537,15 @@ func (t *tracer) layers(rep *replayResult) map[string]float64 {
 			transitUs = append(transitUs, (sp[e].dur()-sp[h].dur())/1e3)
 			handlerUs = append(handlerUs, sp[h].dur()/1e3)
 			var busy float64
+			replayed := true
 			for _, c := range cs {
-				busy += rep.busy[sp[c].Op]
+				b, ok := rep.busy[sp[c].Op]
+				busy += b
+				replayed = replayed && ok
 			}
-			waitUs = append(waitUs, (sp[h].dur()-busy)/1e3)
+			if replayed {
+				waitUs = append(waitUs, (sp[h].dur()-busy)/1e3)
+			}
 		}
 	}
 	for i := range sp {

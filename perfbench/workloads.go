@@ -38,7 +38,7 @@ const corpusSeed = 20200420
 
 // seqLen is the length of each pre-generated op input sequence. Ops
 // cycle through it, so a run that issues more ops of a kind than this
-// repeats inputs; a 24-second full-size run issues up to ~14k.
+// repeats inputs; a 30-second full-size run issues up to ~14k.
 const seqLen = 1 << 14
 
 // sizes fixes the shape of the generated inputs; rates the open-loop
@@ -51,21 +51,25 @@ type sizes struct {
 	impRates, ratRates, accRates [numKinds]float64
 }
 
-// fullSizes are the benchmark's shapes. The write rates are about half
-// the closed-loop capacity measured on a 2-CPU host (impression-batch
-// ~340 batches/s, ratings-market ~120 batches/s, accommodation-durable
-// ~700 rounds/s) and stay fixed so runs on any host compare. The rates
-// of one workload are coprime: commensurate schedules would send each
-// read at the same phase of the write schedule, and whether it waits
-// behind a write would then depend on the start offset of the loops.
+// fullSizes are the benchmark's shapes. The write rates are about a
+// quarter of the closed-loop capacity measured on a 2-CPU host
+// (impression-batch ~340 batches/s, ratings-market ~120 batches/s,
+// accommodation-durable ~700 rounds/s) and stay fixed so runs on any
+// host compare. A shared host's speed can halve for minutes at a time;
+// at a quarter of capacity the open loops then still keep up, and
+// their latencies grow with the host's slowdown instead of running
+// away. The rates of one workload are coprime: commensurate schedules
+// would send each read at the same phase of the write schedule, and
+// whether it waits behind a write would then depend on the start
+// offset of the loops.
 var fullSizes = sizes{
 	batch:      64,
 	impStreams: 32, impDim: 128, impPool: 4096,
 	owners: 10000, support: 64, queryPool: 1024,
 	listings: 2000, lifeWindow: 8,
-	impRates: [numKinds]float64{opWrite: 170, opRead: 37},
-	ratRates: [numKinds]float64{opWrite: 60, opRead: 53},
-	accRates: [numKinds]float64{opWrite: 350, opRead: 41, opLife: 11},
+	impRates: [numKinds]float64{opWrite: 83, opRead: 149},
+	ratRates: [numKinds]float64{opWrite: 31, opRead: 53},
+	accRates: [numKinds]float64{opWrite: 173, opRead: 41, opLife: 11},
 }
 
 // tinySizes keep the package test short; over a one-second open loop
