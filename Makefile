@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint fmt bench-smoke bench-durability bench-serve bench-market bench-loadgen loadgen-smoke ci
+.PHONY: build test race lint fmt bench-smoke bench bench-durability bench-serve bench-market bench-loadgen loadgen-smoke perfbench-test ci
 
 build:
 	$(GO) build ./...
@@ -31,6 +31,18 @@ fmt:
 # they cannot rot; perf numbers come from manual -benchtime runs.
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
+
+# bench runs the repository benchmark (perfbench; see BENCHMARK.json):
+# three dataset-shaped workloads against an in-process broker, printing
+# every end-to-end metric. Pass flags through ARGS, e.g.
+#   make bench ARGS="--workload accommodation-durable --seed 1 --seconds 30 --trace 1"
+bench:
+	bash perfbench/run.sh $(ARGS)
+
+# perfbench-test runs the benchmark's own tests. perfbench is a nested
+# module, so the root `go test ./...` never reaches it.
+perfbench-test:
+	cd perfbench && GOFLAGS=-mod=mod GOWORK=off $(GO) test -race -count=1 .
 
 # bench-durability regenerates BENCH_durability.json, the tracked perf
 # artifact of the durability stack: sustained durable pricing throughput

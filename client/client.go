@@ -7,7 +7,9 @@
 //
 //   - Flusher coalesces concurrent Price calls into multi-stream batch
 //     requests (/v1/price/batch), turning per-round HTTP overhead into
-//     per-batch overhead transparently;
+//     per-batch overhead transparently. It never lingers: an idle
+//     Flusher sends a call at once, and calls arriving while an
+//     exchange is in flight ride the next batch, sent when it returns;
 //   - QuoteSession drives the two-phase quote → observe protocol and
 //     enforces its one-pending-round-per-stream rule client-side, so a
 //     protocol violation fails fast in the caller instead of as a 409

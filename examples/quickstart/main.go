@@ -120,7 +120,8 @@ func main() {
 
 	// The Flusher gives independent concurrent callers the same batching
 	// transparently: each goroutine makes one Price call, the SDK
-	// coalesces them into /v1/price/batch requests behind the scenes.
+	// coalesces the calls that arrive while an exchange is in flight into
+	// the next /v1/price/batch request, with no linger timer.
 	fl := client.NewFlusher(c, client.FlusherConfig{MaxBatch: 64})
 	var wg sync.WaitGroup
 	for i := 0; i < 128; i++ {

@@ -118,6 +118,30 @@ func TestClosedLoop(t *testing.T) {
 	}
 }
 
+// TestClosedLoopDrainsAtDeadline: ops in flight at the deadline finish
+// and are counted, not cancelled — a cancelled op may still have done
+// its work on the server.
+func TestClosedLoopDrainsAtDeadline(t *testing.T) {
+	const latency = 60 * time.Millisecond
+	wl := &fakeWorkload{latency: latency}
+	out, err := ClosedLoop(context.Background(), wl, ClosedLoopConfig{
+		Concurrency: 2, Duration: 10 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Issued != 2 || out.Units != 2 || wl.issued.Load() != 2 {
+		t.Fatalf("issued %d units %d (worker calls %d), want one counted op per worker",
+			out.Issued, out.Units, wl.issued.Load())
+	}
+	if out.ErrorTotal() != 0 {
+		t.Errorf("unexpected errors: %v", out.Errors)
+	}
+	if out.Elapsed < latency {
+		t.Errorf("elapsed %v ends before the in-flight ops (%v) finished", out.Elapsed, latency)
+	}
+}
+
 func TestErrorClassification(t *testing.T) {
 	cases := []struct {
 		err  error
